@@ -7,274 +7,24 @@ import (
 	"d2x/internal/d2x/d2xr"
 )
 
-// runScript executes a break/clear script returned by a typed batch op
-// on the session's debugger, line by line — what a typed caller does in
-// place of the xbreak/xdel macros' eval step.
-func runScript(t *testing.T, d interface{ Execute(string) error }, script string) {
-	t.Helper()
-	for _, line := range strings.Split(strings.TrimSpace(script), "\n") {
-		if line == "" {
-			continue
-		}
-		if err := d.Execute(line); err != nil {
-			t.Fatalf("script line %q: %v", line, err)
-		}
-	}
-}
-
-// TestExecBatchMatchesSingleCommands is the typed-layer correctness pin:
-// one ExecBatch over a mixed command sequence must be byte-identical to
-// executing the same commands one native call each — including the
-// debugger-side effects of the scripts xbreak/xdel return, and including
-// which commands fail.
-func TestExecBatchMatchesSingleCommands(t *testing.T) {
-	b := buildPower(t, true)
-	dA, outA := session(t, b) // singles
-	dB, outB := session(t, b) // batch
-	exec(t, dA, "break power_gen.c:5", "run")
-	exec(t, dB, "break power_gen.c:5", "run")
-	rt := b.Runtime
-
-	// Learn the paused rip/rsp the macros would pass: run one xbt on the
-	// singles session and read them back from its session state. Both
-	// sessions pause at the same deterministic spot.
-	exec(t, dA, "xbt")
-	stA := rt.StateFor(dA.Process().VM)
-	rip, rsp := stA.LastRIP, stA.CurRSP
-
-	steps := []struct {
-		line string
-		op   d2xr.BatchOp
-	}{
-		{"xbt", d2xr.BatchOp{Kind: d2xr.BatchXBT, RIP: rip, RSP: rsp}},
-		{"xframe 1", d2xr.BatchOp{Kind: d2xr.BatchXFrame, RIP: rip, RSP: rsp, Arg: "1"}},
-		{"xlist", d2xr.BatchOp{Kind: d2xr.BatchXList, RIP: rip, RSP: rsp}},
-		{"xvars", d2xr.BatchOp{Kind: d2xr.BatchXVars, RIP: rip, RSP: rsp}},
-		{"xframe 0", d2xr.BatchOp{Kind: d2xr.BatchXFrame, RIP: rip, RSP: rsp, Arg: "0"}},
-		{"xvars res_view", d2xr.BatchOp{Kind: d2xr.BatchXVars, RIP: rip, RSP: rsp, Arg: "res_view"}},
-		{"xbreak power.dsl:6", d2xr.BatchOp{Kind: d2xr.BatchXBreak, RIP: rip, Arg: "power.dsl:6"}},
-		{"xbreak", d2xr.BatchOp{Kind: d2xr.BatchXBreak, RIP: rip}},
-		{"xbreak power.dsl:999", d2xr.BatchOp{Kind: d2xr.BatchXBreak, RIP: rip, Arg: "power.dsl:999"}},
-		{"xdel 1", d2xr.BatchOp{Kind: d2xr.BatchXDel, Arg: "1"}},
-		{"xdel 1", d2xr.BatchOp{Kind: d2xr.BatchXDel, Arg: "1"}}, // now gone: fails
-		{"xbt", d2xr.BatchOp{Kind: d2xr.BatchXBT, RIP: rip, RSP: rsp}},
-	}
-
-	type result struct {
-		out string
-		err error
-	}
-	single := make([]result, len(steps))
-	for i, s := range steps {
-		outA.Reset()
-		err := dA.Execute(s.line)
-		single[i] = result{outA.String(), err}
-	}
-
-	ops := make([]d2xr.BatchOp, len(steps))
-	for i, s := range steps {
-		ops[i] = s.op
-	}
-	var res d2xr.BatchResults
-	rt.ExecBatch(dB.Process().VM, ops, &res)
-	if len(res.Ops) != len(steps) {
-		t.Fatalf("ExecBatch returned %d results for %d ops", len(res.Ops), len(steps))
-	}
-
-	for i := range steps {
-		sErr, bErr := single[i].err, res.Ops[i].Err
-		if (sErr == nil) != (bErr == nil) {
-			t.Errorf("step %d (%s): single err = %v, batch err = %v", i, steps[i].line, sErr, bErr)
-			continue
-		}
-		if bErr != nil {
-			// The macro path wraps the native error; the typed path returns
-			// it bare. The underlying failure must be the same one.
-			if !strings.Contains(sErr.Error(), bErr.Error()) {
-				t.Errorf("step %d (%s): single err %q does not carry batch err %q", i, steps[i].line, sErr, bErr)
-			}
-			if len(res.Output(i)) != 0 {
-				t.Errorf("step %d (%s): failed op left output %q", i, steps[i].line, res.Output(i))
-			}
-			continue
-		}
-		// The single path's transcript is the native output plus whatever
-		// the returned script printed when eval executed it; replay the
-		// typed op's script on the batch session to line the two up.
-		combined := string(res.Output(i))
-		if sc := res.Ops[i].Script; sc != "" {
-			outB.Reset()
-			runScript(t, dB, sc)
-			combined += outB.String()
-		}
-		if combined != single[i].out {
-			t.Errorf("step %d (%s) diverged:\nsingle: %q\nbatch:  %q", i, steps[i].line, single[i].out, combined)
-		}
-	}
-}
-
-// TestXBTBatchMatchesSequentialXBT: one fused-index walk over N rips
-// appends exactly the bytes N single xbt calls print, and an
-// unresolvable rip aborts with the buffer truncated to its input length.
-func TestXBTBatchMatchesSequentialXBT(t *testing.T) {
-	b := buildPower(t, true)
-	d, out := session(t, b)
-	exec(t, d, "break power_gen.c:5", "run")
-	rt := b.Runtime
-	vm := d.Process().VM
-
-	out.Reset()
-	exec(t, d, "xbt")
-	rip := rt.StateFor(vm).LastRIP
-	one := out.String()
-	out.Reset()
-	exec(t, d, "xbt", "xbt")
-	want := one + out.String()
-
-	got, err := rt.XBTBatch(vm, []int64{rip, rip, rip}, nil)
-	if err != nil {
-		t.Fatalf("XBTBatch: %v", err)
-	}
-	if string(got) != want {
-		t.Errorf("XBTBatch diverged from 3 sequential xbts:\nwant %q\ngot  %q", want, string(got))
-	}
-
-	// Buffer reuse: a second call over the same slice appends cleanly.
-	got2, err := rt.XBTBatch(vm, []int64{rip}, got[:0])
-	if err != nil {
-		t.Fatalf("XBTBatch reuse: %v", err)
-	}
-	if string(got2) != one {
-		t.Errorf("reused buffer: want %q, got %q", one, string(got2))
-	}
-
-	// An unresolvable rip fails the batch and contributes no bytes, even
-	// after earlier rips resolved.
-	prefix := []byte("prefix:")
-	got3, err := rt.XBTBatch(vm, []int64{rip, 1 << 62}, prefix)
-	if err == nil || !strings.Contains(err.Error(), "no line info") {
-		t.Fatalf("bogus rip: got err %v, want a no-line-info error", err)
-	}
-	if string(got3) != "prefix:" {
-		t.Errorf("aborted batch must truncate to the input length, got %q", string(got3))
-	}
-}
-
-// TestResolveBreakSetMatchesSingleXBreaks: N specs resolve and install in
-// one pass with the single path's output and IDs, the union script
-// dedupes overlapping specs, and resolution is atomic — one bad spec
-// installs nothing.
-func TestResolveBreakSetMatchesSingleXBreaks(t *testing.T) {
-	b := buildPower(t, true)
-	dA, outA := session(t, b) // singles
-	dB, outB := session(t, b) // break set
-	exec(t, dA, "break power_gen.c:5", "run")
-	exec(t, dB, "break power_gen.c:5", "run")
-	rt := b.Runtime
-	exec(t, dA, "xbt")
-	rip := rt.StateFor(dA.Process().VM).LastRIP
-	vmB := dB.Process().VM
-
-	outA.Reset()
-	exec(t, dA, "xbreak power.dsl:6", "xbreak 7")
-	singleOut := outA.String()
-
-	var bs d2xr.BreakSet
-	if err := rt.ResolveBreakSet(vmB, rip, []string{"power.dsl:6", "7"}, &bs); err != nil {
-		t.Fatalf("ResolveBreakSet: %v", err)
-	}
-	wantOut := "Inserting 4 breakpoints with ID: #1\nInserting 3 breakpoints with ID: #2\n"
-	if string(bs.Output) != wantOut {
-		t.Errorf("set output:\nwant %q\ngot  %q", wantOut, string(bs.Output))
-	}
-	if len(bs.IDs) != 2 || bs.IDs[0] != 1 || bs.IDs[1] != 2 {
-		t.Errorf("set IDs = %v, want [1 2]", bs.IDs)
-	}
-	// The single path printed the same native lines (with the script's
-	// debugger banners interleaved after each).
-	for _, line := range strings.SplitAfter(wantOut, "\n") {
-		if line != "" && !strings.Contains(singleOut, line) {
-			t.Errorf("single transcript missing %q:\n%s", line, singleOut)
-		}
-	}
-
-	// Replaying the union script installs the same debugger breakpoints
-	// the two single xbreaks did: 4 + 3 disjoint generated lines.
-	outB.Reset()
-	runScript(t, dB, bs.Script)
-	if got, want := strings.Count(outB.String(), "Breakpoint "), strings.Count(singleOut, "Breakpoint "); got != want {
-		t.Errorf("union script installed %d debugger breakpoints, singles installed %d", got, want)
-	}
-
-	// Both sessions now list identical DSL breakpoints, byte for byte.
-	outA.Reset()
-	exec(t, dA, "xbreak")
-	var res d2xr.BatchResults
-	rt.ExecBatch(vmB, []d2xr.BatchOp{{Kind: d2xr.BatchXBreak, RIP: rip}}, &res)
-	if err := res.Ops[0].Err; err != nil {
-		t.Fatalf("xbreak listing op: %v", err)
-	}
-	if string(res.Output(0)) != outA.String() {
-		t.Errorf("listing diverged:\nsingle: %q\nset:    %q", outA.String(), res.Output(0))
-	}
-
-	// Overlapping specs: both install (IDs advance like repeated single
-	// xbreaks) but the union script carries each generated line once.
-	if err := rt.ResolveBreakSet(vmB, rip, []string{"power.dsl:6", "power.dsl:6"}, &bs); err != nil {
-		t.Fatalf("overlapping set: %v", err)
-	}
-	if len(bs.IDs) != 2 || bs.IDs[0] != 3 || bs.IDs[1] != 4 {
-		t.Errorf("overlapping set IDs = %v, want [3 4]", bs.IDs)
-	}
-	if got := strings.Count(bs.Script, "break "); got != 4 {
-		t.Errorf("overlapping set script has %d break commands, want 4 (deduped):\n%s", got, bs.Script)
-	}
-
-	// A spec with no generated code reports it and installs nothing for
-	// that spec (ID 0), exactly as the single command does.
-	if err := rt.ResolveBreakSet(vmB, rip, []string{"power.dsl:999"}, &bs); err != nil {
-		t.Fatalf("no-code set: %v", err)
-	}
-	if string(bs.Output) != "No generated code for power.dsl:999\n" || len(bs.IDs) != 1 || bs.IDs[0] != 0 {
-		t.Errorf("no-code set: output %q, IDs %v", bs.Output, bs.IDs)
-	}
-	if bs.Script != "" {
-		t.Errorf("no-code set returned a script: %q", bs.Script)
-	}
-
-	// Atomicity: a bad spec anywhere in the set aborts before anything is
-	// installed.
-	before := len(rt.BreakpointsFor(vmB))
-	if err := rt.ResolveBreakSet(vmB, rip, []string{"8", "what"}, &bs); err == nil {
-		t.Fatal("bad spec in set did not fail")
-	}
-	if err := rt.ResolveBreakSet(vmB, rip, []string{"8", ""}, &bs); err == nil || !strings.Contains(err.Error(), "empty breakpoint spec") {
-		t.Fatalf("empty spec in set: got %v", err)
-	}
-	if after := len(rt.BreakpointsFor(vmB)); after != before {
-		t.Errorf("failed set half-installed: %d breakpoints before, %d after", before, after)
-	}
-}
-
 // TestPinSessionDefersInvalidateAcrossBatch: the wire server wraps a
 // whole batch in PinSession, so a build re-attach (Invalidate) that
 // lands mid-batch must not reset the session until the pin drops —
-// including across the nested per-op Checkout/Checkin pairs inside
-// ExecBatch.
+// including across the nested Checkout/Checkin pair every native
+// command takes under the pin.
 func TestPinSessionDefersInvalidateAcrossBatch(t *testing.T) {
 	b := buildPower(t, true)
-	d, _ := session(t, b)
+	d, out := session(t, b)
 	exec(t, d, "break power_gen.c:5", "run", "xbreak power.dsl:6")
 	rt := b.Runtime
 	vm := d.Process().VM
 	st := rt.StateFor(vm)
-	rip := st.LastRIP
 	if len(st.XBPs) != 1 {
 		t.Fatalf("setup: %d DSL breakpoints, want 1", len(st.XBPs))
 	}
 
 	pin := rt.PinSession(vm)
-	if pin.State() != st {
+	if rt.StateFor(vm) != st {
 		t.Fatalf("PinSession pinned a different state object")
 	}
 	// Re-attaching the same debug blob is how a rebuild lands: it
@@ -287,15 +37,13 @@ func TestPinSessionDefersInvalidateAcrossBatch(t *testing.T) {
 		t.Error("Invalidate reset a pinned session mid-batch")
 	}
 
-	// A batch op under the pin nests its own Checkout/Checkin; the inner
-	// Checkin must not apply the deferred reset while the outer pin holds.
-	var res d2xr.BatchResults
-	rt.ExecBatch(vm, []d2xr.BatchOp{{Kind: d2xr.BatchXBreak, RIP: rip}}, &res)
-	if err := res.Ops[0].Err; err != nil {
-		t.Fatalf("listing op under pin: %v", err)
-	}
-	if !strings.Contains(string(res.Output(0)), "power.dsl:6") {
-		t.Errorf("pinned session lost its breakpoint from the batch's view: %q", res.Output(0))
+	// A native command under the pin nests its own Checkout/Checkin; the
+	// inner Checkin must not apply the deferred reset while the outer pin
+	// holds.
+	out.Reset()
+	exec(t, d, "xbreak")
+	if !strings.Contains(out.String(), "power.dsl:6") {
+		t.Errorf("pinned session lost its breakpoint from the batch's view: %q", out.String())
 	}
 	if len(st.XBPs) != 1 {
 		t.Error("nested Checkin applied the deferred reset before the pin dropped")
@@ -309,7 +57,4 @@ func TestPinSessionDefersInvalidateAcrossBatch(t *testing.T) {
 	// The zero pin is a no-op, so a pin can be stored unconditionally.
 	var zero d2xr.SessionPin
 	zero.Unpin()
-	if zero.State() != nil {
-		t.Error("zero pin has a state")
-	}
 }

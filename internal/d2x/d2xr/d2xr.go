@@ -90,8 +90,8 @@ func CommandNatives() []NativeSpec {
 // error counts plus a latency histogram. Handles live in the package
 // (the obs registry is process-wide), resolved once at init, so the
 // command hot path touches only atomics. The counters are sharded:
-// every session increments the same six command names, and under the
-// saturation workload a single shared cache line serializes the cores
+// every session increments the same six command names, and under many
+// concurrent sessions a single shared cache line serializes the cores
 // the registry sharding just decoupled. The session ID is the affinity
 // hint; sums stay exact.
 type cmdMetrics struct {
@@ -117,11 +117,6 @@ var (
 		"xlist": newCmdMetrics("xlist"), "xvars": newCmdMetrics("xvars"),
 		"xbreak": newCmdMetrics("xbreak"), "xdel": newCmdMetrics("xdel"),
 	}
-	// batchObs covers ExecBatch itself (one call, N sub-ops); the sub-ops
-	// also count under their own command's calls/errors, so per-command
-	// totals are protocol-independent.
-	batchObs   = newCmdMetrics("batch")
-	batchOps   = obs.GetShardedCounter("d2xr.cmd.batch.ops")
 	stage1Lat  = obs.GetHistogram("d2xr.stage1.rip_to_genline")
 	stage1Miss = obs.GetCounter("d2xr.stage1.misses")
 	stage2Lat  = obs.GetHistogram("d2xr.stage2.genline_to_dsl")
@@ -501,9 +496,8 @@ func (r *Runtime) xbt(vm *minic.VM, rip int64) error {
 	return nil
 }
 
-// appendXBT renders the extended stack for rip into b: the shared core
-// of xbt and ExecBatch. On error b is returned unchanged, so batch
-// error isolation keeps clean output spans.
+// appendXBT renders the extended stack for rip into b for xbt. On
+// error b is returned unchanged.
 //
 //d2x:noalloc amortized
 func (r *Runtime) appendXBT(vm *minic.VM, rip int64, b []byte) ([]byte, error) {
@@ -537,8 +531,7 @@ func (r *Runtime) xframe(st *session.State, vm *minic.VM, rip int64, arg string)
 }
 
 // appendXFrameCmd renders (and optionally changes) the selected extended
-// frame into b: the shared core of xframe and ExecBatch. On error b is
-// returned unchanged.
+// frame into b for xframe. On error b is returned unchanged.
 //
 //d2x:noalloc amortized
 func (r *Runtime) appendXFrameCmd(st *session.State, vm *minic.VM, rip int64, arg string, b []byte) ([]byte, error) {
@@ -590,8 +583,7 @@ func (r *Runtime) xlist(st *session.State, vm *minic.VM, rip int64) error {
 }
 
 // appendXList renders DSL source around the selected extended frame
-// into b: the shared core of xlist and ExecBatch. On error b is
-// returned unchanged.
+// into b for xlist. On error b is returned unchanged.
 //
 //d2x:hotpath
 func (r *Runtime) appendXList(st *session.State, vm *minic.VM, rip int64, b []byte) ([]byte, error) {
@@ -642,8 +634,8 @@ func (r *Runtime) xvars(st *session.State, vm *minic.VM, rip int64, name string)
 }
 
 // appendXVars renders the extended variables at the current line (or
-// one evaluated variable) into b: the shared core of xvars and
-// ExecBatch. On error b is returned unchanged.
+// one evaluated variable) into b for xvars. On error b is returned
+// unchanged.
 //
 //d2x:hotpath
 func (r *Runtime) appendXVars(st *session.State, vm *minic.VM, rip int64, name string, b []byte) ([]byte, error) {
@@ -807,11 +799,10 @@ func (r *Runtime) xbreak(st *session.State, vm *minic.VM, rip int64, spec string
 	return script, nil
 }
 
-// appendXBreak is the shared core of xbreak, ResolveBreakSet and
-// ExecBatch: it appends the human-readable output to b and returns the
-// break script (interned on the session's BreakPlan, so the steady
-// state hands back the same string instead of rendering a new one).
-// On error b is returned unchanged.
+// appendXBreak is the core of xbreak: it appends the human-readable
+// output to b and returns the break script (interned on the session's
+// BreakPlan, so the steady state hands back the same string instead of
+// rendering a new one). On error b is returned unchanged.
 //
 //d2x:noalloc amortized
 func (r *Runtime) appendXBreak(st *session.State, vm *minic.VM, rip int64, spec string, b []byte) ([]byte, string, error) {
@@ -881,7 +872,7 @@ func appendXBPList(st *session.State, b []byte) []byte {
 // use. The parse is allocation-free; everything expensive — the table
 // walk, the statement filter, the break/clear script strings — is paid
 // once per location per session and amortizes to nothing across the
-// repeated commands and batch sets that dominate real traffic.
+// repeated commands that dominate real traffic.
 //
 //d2x:noalloc
 func (r *Runtime) breakPlanFor(st *session.State, vm *minic.VM, tables *d2xenc.Tables, rip int64, spec string) (*session.BreakPlan, error) {
@@ -1007,11 +998,10 @@ func (r *Runtime) xdel(st *session.State, vm *minic.VM, spec string) (string, er
 	return script, nil
 }
 
-// appendXDel is the shared core of xdel and ExecBatch: it appends the
-// human-readable output to b and returns the clear script. Breakpoints
-// installed from a cached plan hand back the plan's interned script;
-// the render fallback covers breakpoints that never had one. On error
-// b is returned unchanged.
+// appendXDel is the core of xdel: it appends the human-readable output
+// to b and returns the clear script. Breakpoints installed from a cached
+// plan hand back the plan's interned script; the render fallback covers
+// breakpoints that never had one. On error b is returned unchanged.
 //
 //d2x:noalloc amortized
 func (r *Runtime) appendXDel(st *session.State, spec string, b []byte) ([]byte, string, error) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -250,5 +251,136 @@ func TestBatchMatchesSequentialDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWireBatchAmortisesRoundTrips is the throughput gate for the batch
+// frame: one cycle of the interactive mix — xbt/xvars three times, then
+// an xbreak at the paused DSL line and its xdel — sent as one batch
+// frame must run at least twice as fast as the same 8 commands sent as
+// standalone requests. Both sides run the same execOne path on the
+// server, so the ratio is the per-request transport and dispatch cost
+// the frame amortises. Standalone and batch rounds alternate, so drift on
+// a shared host hits both sides alike.
+func TestWireBatchAmortisesRoundTrips(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime slows command execution more than transport, so the ratio does not hold under -race")
+	}
+	const (
+		rounds     = 7
+		cycles     = 50
+		minSpeedup = 2.0
+	)
+	_, addr := startServer(t)
+	c := dial(t, addr)
+	mustDo(t, c, wire.CmdLaunch, &wire.Args{Example: "power"})
+	mustDo(t, c, wire.CmdBreak, &wire.Args{Spec: "power_15"})
+	mustDo(t, c, wire.CmdRun, nil)
+	c.Events()
+
+	// The paused frame's DSL line: the first xbt line ends in file:line.
+	xbt := mustDo(t, c, wire.CmdXBT, nil).Body.Output
+	frame0, _, _ := strings.Cut(xbt, "\n")
+	i := strings.LastIndexByte(frame0, ':')
+	line, err := strconv.Atoi(frame0[i+1:])
+	if i < 0 || err != nil {
+		t.Fatalf("no DSL line in xbt frame 0 %q", frame0)
+	}
+	frameSuffix := frame0[i:] + "\n"
+
+	// Every xbreak takes the next DSL breakpoint ID and the cycle's xdel
+	// removes it again, so a round's requests, IDs included, are built
+	// before any of its cycles is timed, and its outputs are checked after
+	// the round.
+	nextID := 1
+	plan := func() [][]wire.SubRequest {
+		p := make([][]wire.SubRequest, cycles)
+		for n := range p {
+			for j := 0; j < 3; j++ {
+				p[n] = append(p[n], wire.SubRequest{Command: wire.CmdXBT}, wire.SubRequest{Command: wire.CmdXVars})
+			}
+			p[n] = append(p[n],
+				wire.SubRequest{Command: wire.CmdXBreak, Arguments: &wire.Args{Spec: strconv.Itoa(line)}},
+				wire.SubRequest{Command: wire.CmdXDel, Arguments: &wire.Args{Spec: strconv.Itoa(nextID)}})
+			nextID++
+		}
+		return p
+	}
+	check := func(p [][]wire.SubRequest, outs []string) {
+		t.Helper()
+		for n, subs := range p {
+			id := subs[len(subs)-1].Arguments.Spec
+			for j, sub := range subs {
+				var want string
+				switch sub.Command {
+				case wire.CmdXBT:
+					want = frameSuffix
+				case wire.CmdXBreak:
+					want = "with ID: #" + id + "\n"
+				case wire.CmdXDel:
+					want = "Deleted DSL breakpoint #" + id + " "
+				}
+				if out := outs[n*len(subs)+j]; !strings.Contains(out, want) {
+					t.Fatalf("%s %+v: output %q lacks %q", sub.Command, sub.Arguments, out, want)
+				}
+			}
+		}
+	}
+
+	// Each cycle is timed on its own and the gate compares median cycle
+	// times. On a loaded host a whole round's best still swings with how
+	// the client and server goroutines share the CPUs; the median of
+	// hundreds of interleaved cycles does not.
+	var seqCycles, batchCycles []time.Duration
+	outs := make([]string, 0, cycles*8)
+	standalone := func() {
+		p := plan()
+		outs = outs[:0]
+		for _, subs := range p {
+			start := time.Now()
+			for _, sub := range subs {
+				f, err := c.Do(sub.Command, sub.Arguments)
+				if err != nil {
+					t.Fatalf("standalone %s: %v", sub.Command, err)
+				}
+				outs = append(outs, f.Body.Output)
+			}
+			seqCycles = append(seqCycles, time.Since(start))
+		}
+		check(p, outs)
+	}
+	batched := func() {
+		p := plan()
+		outs = outs[:0]
+		for _, subs := range p {
+			start := time.Now()
+			results, err := c.DoBatch(subs)
+			if err != nil {
+				t.Fatalf("batch: %v", err)
+			}
+			for j, res := range results {
+				if !res.Success {
+					t.Fatalf("batch sub %d (%s): %s", j+1, subs[j].Command, res.Message)
+				}
+				outs = append(outs, res.Output)
+			}
+			batchCycles = append(batchCycles, time.Since(start))
+		}
+		check(p, outs)
+	}
+
+	for r := 0; r < rounds; r++ {
+		standalone()
+		batched()
+	}
+	median := func(d []time.Duration) time.Duration {
+		slices.Sort(d)
+		return d[len(d)/2]
+	}
+	seq, batch := median(seqCycles), median(batchCycles)
+	speedup := float64(seq) / float64(batch)
+	t.Logf("median cycle over %d rounds x %d cycles: standalone %v, batch %v, speedup %.2fx", rounds, cycles, seq, batch, speedup)
+	if speedup < minSpeedup {
+		t.Errorf("wire batch is only %.2fx standalone requests, want >= %.1fx", speedup, minSpeedup)
 	}
 }

@@ -67,8 +67,7 @@ type XBreakpoint struct {
 // A plan is computed once per (file, line) per session and cached on
 // the State (see PlanFor/AddPlan) — the lexer, macro, and string work
 // of resolving a spec is paid on the first xbreak only, which is what
-// takes the xbreak+xdel round trip below its allocation budget and
-// what ResolveBreakSet amortizes across a whole breakpoint set. Plans
+// takes the xbreak+xdel round trip below its allocation budget. Plans
 // are immutable once cached; Reset drops them with the rest of the
 // build-derived state.
 type BreakPlan struct {

@@ -412,8 +412,12 @@ func TestInvalidateConcurrentTablesLookup(t *testing.T) {
 					return
 				}
 				st := s.Checkout(vm)
-				st.LastRIP = int64(i)
-				st.HaveRIP = true
+				// A session's fields belong to its single command stream:
+				// one goroutine plays that stream, the others only pin.
+				if g == 0 {
+					st.LastRIP = int64(i)
+					st.HaveRIP = true
+				}
 				s.Checkin(vm, st)
 				if _, ok := s.Lookup(vm); !ok {
 					errs <- errLostState

@@ -379,7 +379,7 @@ func Decode(data []byte) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nf > 1<<20 {
+	if nf > maxCount(r, minFuncBytes) {
 		return nil, fmt.Errorf("dwarfish: corrupt function count %d", nf)
 	}
 	in.Funcs = make([]FuncInfo, nf)
@@ -391,6 +391,11 @@ func Decode(data []byte) (*Info, error) {
 		fi, err := readUvarint(r)
 		if err != nil {
 			return nil, err
+		}
+		// The name index is a dense table over FuncIndex, so an index past
+		// the function count would size it by a number the blob only claims.
+		if fi >= nf {
+			return nil, fmt.Errorf("dwarfish: corrupt function index %d of %d functions", fi, nf)
 		}
 		f.FuncIndex = int(fi)
 		dl, err := readUvarint(r)
@@ -405,7 +410,7 @@ func Decode(data []byte) (*Info, error) {
 		if err != nil {
 			return nil, err
 		}
-		if nv > 1<<20 {
+		if nv > maxCount(r, minVarBytes) {
 			return nil, fmt.Errorf("dwarfish: corrupt var count %d", nv)
 		}
 		f.Vars = make([]VarLoc, nv)
@@ -430,7 +435,7 @@ func Decode(data []byte) (*Info, error) {
 		if err != nil {
 			return nil, err
 		}
-		if nl > 1<<26 {
+		if nl > maxCount(r, minLineBytes) {
 			return nil, fmt.Errorf("dwarfish: corrupt line count %d", nl)
 		}
 		f.Lines = make([]LineEntry, nl)
@@ -457,6 +462,23 @@ func Decode(data []byte) (*Info, error) {
 	// and safe to share between concurrent debug sessions without locks.
 	in.ensureIndex()
 	return in, nil
+}
+
+// The smallest encodings of one function record (empty name and file,
+// one-byte index and decl line, zero var and line counts), one variable
+// record (empty name and type, one-byte slot, param flag) and one line
+// entry (one-byte PC and line deltas, stmt flag).
+const (
+	minFuncBytes = 6
+	minVarBytes  = 4
+	minLineBytes = 3
+)
+
+// maxCount bounds a declared element count by the bytes left in the
+// blob, so a corrupt count fails before Decode allocates for it: memory
+// stays proportional to the input, whatever the header claims.
+func maxCount(r *bytes.Reader, minBytes int) uint64 {
+	return uint64(r.Len() / minBytes)
 }
 
 func writeUvarint(b *bytes.Buffer, v uint64) {

@@ -1,7 +1,9 @@
 package dwarfish
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -203,4 +205,58 @@ func TestVarShadowingPrefersInnermost(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("expected 2 x records, found %d", count)
 	}
+}
+
+// overCountBlob is a 16-byte blob that declares one function with no
+// vars and 2^26-1 line entries, then ends.
+var overCountBlob = []byte{'D', 'W', 'F', 'x', 1, 0, 1, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x1f}
+
+// TestDecodeBoundsCountsByInput: declared counts are checked against the
+// bytes left in the blob before anything is sized by them, so a short
+// blob claiming a huge table fails cheaply instead of allocating first
+// (2^26 line entries would be 1.5 GiB) and hitting EOF after.
+func TestDecodeBoundsCountsByInput(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"line count", overCountBlob},
+		{"var count", []byte{'D', 'W', 'F', 'x', 1, 0, 1, 0, 0, 0, 0, 0xff, 0xff, 0x3f}},
+		{"function count", []byte{'D', 'W', 'F', 'x', 1, 0, 0xff, 0xff, 0x3f}},
+		{"function index", []byte{'D', 'W', 'F', 'x', 1, 0, 1, 0, 0x80, 0x80, 0x80, 0x08, 0, 0, 0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			_, err := Decode(tc.blob)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("decode of a corrupt blob succeeded")
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+				t.Errorf("decode allocated %d bytes before failing (%v), want < 1 MiB", d, err)
+			}
+		})
+	}
+}
+
+// FuzzDecode: Decode never panics on arbitrary input, and whatever it
+// accepts re-encodes stably — the encoding of a decoded blob decodes
+// again and encodes to the same bytes.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		info, err := Decode(data)
+		if err != nil {
+			return
+		}
+		e := info.Encode()
+		back, err := Decode(e)
+		if err != nil {
+			t.Fatalf("re-decode of an encoded blob failed: %v", err)
+		}
+		if got := back.Encode(); !bytes.Equal(got, e) {
+			t.Fatalf("re-encoding unstable:\nfirst  %x\nsecond %x", e, got)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package graphit
 
 import (
 	"fmt"
+	"sync"
 
 	"d2x/internal/graphgen"
 	"d2x/internal/minic"
@@ -11,19 +12,20 @@ import (
 // runtime prologue (__graphit_load) consumes. The generated code builds
 // its own CSR; the host only serves the raw edge list described by a
 // graph-spec string (see package graphgen). Parsed graphs are cached per
-// registry, like an mmap'd input file.
+// registry, like an mmap'd input file. A build's registry is shared by
+// every session running it, so the cache is safe for concurrent VMs.
 func RegisterGraphNatives(nats *minic.Natives) {
-	cache := map[string]*graphgen.Graph{}
+	var cache sync.Map // spec -> *graphgen.Graph
 	load := func(spec string) (*graphgen.Graph, error) {
-		if g, ok := cache[spec]; ok {
-			return g, nil
+		if g, ok := cache.Load(spec); ok {
+			return g.(*graphgen.Graph), nil
 		}
 		g, err := graphgen.Parse(spec)
 		if err != nil {
 			return nil, err
 		}
-		cache[spec] = g
-		return g, nil
+		v, _ := cache.LoadOrStore(spec, g)
+		return v.(*graphgen.Graph), nil
 	}
 	intT, strT := minic.IntType, minic.StringType
 

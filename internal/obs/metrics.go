@@ -42,7 +42,7 @@ type counterCell struct {
 
 // ShardedCounter is a Counter spread over cache-line-padded cells for
 // write paths hot enough that a single shared atomic serializes cores
-// (the per-command call counters under the saturation workload).
+// (the per-command call counters under many concurrent sessions).
 // Callers pass a cheap affinity hint — any value stable per goroutine
 // or per session, e.g. the session ID — to pick a cell; correctness
 // does not depend on the hint (a constant hint degrades to a plain
